@@ -1,5 +1,6 @@
 #include "exec/assign.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "core/layout_view.hpp"
@@ -66,39 +67,29 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
 
   const SecProgram& prog = rhs.program();
   const std::vector<SecLeaf>& leaves = prog.leaves();
-
-  // Pass 1: numerics. The RHS is evaluated completely before the LHS
-  // changes (Fortran array-assignment semantics); values are independent of
-  // placement, so evaluation reads canonical storage directly while the
-  // owner-computes communication is charged run-wise below — and runs every
-  // step even when the priced schedule is replayed from a plan. The
-  // compiled program evaluates whole flat strided segments into the
-  // state's reusable staging buffer; the element engine is the reference
-  // oracle (identical values by construction, asserted differentially).
   ScratchArena& arena = state.scratch();
   const Extent total = iteration.size();
-  arena.staged.resize(static_cast<std::size_t>(total));
-  double* staged = arena.staged.data();
-  if (engine == EvalEngine::kSegment) {
-    prog.eval(state, arena, total, staged);
-  } else {
-    // Squeeze helper: the RHS sees positions with unit dimensions dropped.
-    auto squeeze = [&](const IndexTuple& pos) {
-      IndexTuple out;
-      for (int d = 0; d < iteration.rank(); ++d) {
-        if (iteration.extent(d) != 1) {
-          out.push_back(pos[static_cast<std::size_t>(d)]);
-        }
-      }
-      return out;
-    };
-    Extent at = 0;
-    iteration.for_each([&](const IndexTuple& pos) {
-      staged[at++] = rhs.eval_serial(state, squeeze(pos));
-    });
-  }
 
-  // Pass 2: owner-computes pricing. The schedule is a pure function of the
+  // The alias rule (assign.hpp): the RHS needs a staged snapshot only when
+  // a leaf reads the LHS array; otherwise the segment engine evaluates
+  // straight into the LHS's canonical segments. Every check that can throw
+  // runs here, before pricing, so once the step is priced nothing fails
+  // and a priced step always writes its values.
+  const bool direct =
+      engine == EvalEngine::kSegment &&
+      std::none_of(leaves.begin(), leaves.end(), [&](const SecLeaf& leaf) {
+        return leaf.array == lhs.id();
+      });
+  prog.prepare(state, arena, total);
+  std::vector<FlatSegment>& lhs_segments = arena.segments;
+  lhs_segments.clear();
+  for_each_segment(lhs.domain(), lhs_section, [&](const FlatSegment& seg) {
+    lhs_segments.push_back(seg);
+  });
+  state.check_segments(lhs.id(), lhs_segments);
+  if (!direct) arena.staged.resize(static_cast<std::size_t>(total));
+
+  // Pass 1: owner-computes pricing. The schedule is a pure function of the
   // participating layouts, sections, and per-element costs, so a recurring
   // assignment — the 2nd..Nth iteration of a sweep — replays its memoized
   // plan with zero ownership queries and no common-segment walk. The timer
@@ -157,8 +148,8 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
     result.step = comm.replay(*plan, step_label);
   } else {
     comm.begin_step(step_label);
-    // The LHS write-back (pass 3) runs after the step, so values are safe;
-    // the guard keeps the ENGINE safe — an exception out of the charge
+    // The numerics (pass 2) run after the step, so values are safe; the
+    // guard keeps the ENGINE safe — an exception out of the charge
     // walk or out of end_step (fault exhaustion) aborts the half-charged
     // step instead of leaving it open with a recording armed.
     StepGuard guard(comm);
@@ -196,25 +187,50 @@ AssignResult assign_impl(ProgramState& state, const Distribution& lhs_dist,
                           std::chrono::steady_clock::now() - price_start)
                           .count();
 
-  // Pass 3: write the staged results to canonical storage (section order
-  // equals the run tables' linear order, so no view is needed here) —
-  // whole flat LHS segments at a time.
-  if (engine == EvalEngine::kSegment) {
+  // Pass 2: numerics. Values are independent of placement, so evaluation
+  // reads canonical storage directly while the owner-computes
+  // communication was charged run-wise above — and runs every step even
+  // when the priced schedule is replayed from a plan. The staged path
+  // evaluates into the staging buffer and writes whole flat LHS segments
+  // back (section order equals the segments' linear order); the element
+  // engine is the reference oracle (identical values by construction,
+  // asserted differentially).
+  if (direct) {
+    prog.eval_into(state, arena, lhs_segments, state.values_span(lhs.id()));
+  } else if (engine == EvalEngine::kSegment) {
+    double* staged = arena.staged.data();
+    prog.eval(state, arena, total, staged);
     Extent written = 0;
-    for_each_segment(lhs.domain(), lhs_section, [&](const FlatSegment& seg) {
+    for (const FlatSegment& seg : lhs_segments) {
       state.store_segment(lhs.id(), seg, staged + written);
       written += seg.count;
-    });
+    }
   } else {
-    std::size_t k = 0;
+    // Squeeze helper: the RHS sees positions with unit dimensions dropped.
+    auto squeeze = [&](const IndexTuple& pos) {
+      IndexTuple out;
+      for (int d = 0; d < iteration.rank(); ++d) {
+        if (iteration.extent(d) != 1) {
+          out.push_back(pos[static_cast<std::size_t>(d)]);
+        }
+      }
+      return out;
+    };
+    double* staged = arena.staged.data();
+    Extent at = 0;
+    iteration.for_each([&](const IndexTuple& pos) {
+      staged[at++] = rhs.eval_serial(state, squeeze(pos));
+    });
+    at = 0;
     iteration.for_each([&](const IndexTuple& pos) {
       state.set_value(lhs.id(),
                       lhs.domain().section_parent_index(lhs_section, pos),
-                      staged[k++]);
+                      staged[at++]);
     });
   }
 
-  result.elements = iteration.size();
+  result.elements = total;
+  result.staged_elements = direct ? 0 : total;
   result.posted_leaves = std::move(posted);
   result.local_reads = comm.local_reads() - local_before;
   const Extent total_reads = result.local_reads + result.step.element_transfers;

@@ -7,17 +7,28 @@
 // (replicas) receive the result by message. All transfers of one assignment
 // form one comm step, so pairs are message-vectorized.
 //
-// Pass structure (all three batched — nothing in a warm sweep is
-// per-element):
-//   1. numerics — the RHS's compiled SecProgram evaluates whole flat
-//      strided segments of every operand into the state's reusable staging
-//      buffer (Fortran semantics: the snapshot completes before the LHS
-//      changes);
-//   2. pricing — the owner-computes communication is charged per
+// Pass structure (nothing in a warm sweep is per-element):
+//   1. pricing — the owner-computes communication is charged per
 //      constant-owner run segment (core/layout_view.hpp), or the whole
-//      priced schedule replays from the plan cache (exec/comm_plan.hpp);
-//   3. writeback — the staged values land in canonical storage one flat
-//      LHS segment at a time (ProgramState::store_segment).
+//      priced schedule replays from the plan cache (exec/comm_plan.hpp).
+//      It runs first and mutates no array, so a TransferFaultError on
+//      fault exhaustion leaves every value untouched. Everything that can
+//      throw besides it (section and conformance checks, the leaves' and
+//      the destination segments' storage bounds) is checked before it.
+//   2. numerics — the RHS's compiled SecProgram evaluates whole flat
+//      strided segments of every operand. The alias rule picks where:
+//        - direct: no RHS leaf names the LHS array. Distinct ArrayIds own
+//          disjoint canonical storage (ProgramState::Store), so no read can
+//          see a write, and the program evaluates straight into the LHS's
+//          canonical segments (non-unit-stride segments through a
+//          chunk-sized register slot);
+//        - staged: an RHS leaf names the LHS array (FA(2:n) = FA(1:n-1),
+//          or A(1:n:2) = A(1:n:2)/2). Fortran semantics require the RHS
+//          snapshot to complete before the LHS changes, so the program
+//          evaluates into the state's reusable staging buffer, and the
+//          staged values then land in canonical storage one flat LHS
+//          segment at a time (ProgramState::store_segment).
+//      AssignResult::staged_elements reports which path ran.
 //
 // This is the workload the paper's mapping model exists to serve: the
 // communication an assignment induces is exactly determined by the
@@ -31,9 +42,10 @@
 
 namespace hpfnt {
 
-/// Which numerics engine passes 1 and 3 use. kSegment is the production
-/// path (compiled SecProgram over flat strided segments); kElement is the
-/// per-element reference oracle (eval_serial + set_value) kept for the
+/// Which engine the numerics pass uses. kSegment is the production path
+/// (compiled SecProgram over flat strided segments); kElement is the
+/// per-element reference oracle (eval_serial + set_value, always staged)
+/// kept for the
 /// differential tests and the E5 benchmark baseline. Both engines price
 /// identically and must produce byte-identical values and StepStats.
 enum class EvalEngine { kSegment, kElement };
@@ -52,6 +64,10 @@ struct AssignResult {
   /// Wall time of the pricing pass alone (plan lookup + replay, or the
   /// cold run-table walk), excluding numerics and the result writeback.
   Extent pricing_ns = 0;
+  /// Elements that went through the whole-statement staging buffer: 0 when
+  /// the statement evaluated straight into the LHS, `elements` when an RHS
+  /// leaf aliased the LHS array (or the element oracle ran).
+  Extent staged_elements = 0;
   /// Fraction of RHS element reads that crossed processors.
   double remote_read_fraction = 0.0;
   /// Per-RHS-leaf phase bits, in SecExpr::leaves() order: 1 iff the leaf's

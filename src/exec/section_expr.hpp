@@ -14,12 +14,16 @@
 // expression's root node) whose kernels evaluate whole flat strided
 // segments (core/index_domain.hpp) of every operand with tight loops over
 // raw canonical-storage spans — constants fold into fused immediate ops,
-// unit-dimension leaves splat (stride-0 operands) — so the hot path of a
-// warm sweep touches no IndexTuple, no shared_ptr walk, and no
+// a leaf right operand fuses into its binary op (read in place, never
+// copied into a register), unit-dimension leaves splat (stride-0
+// operands), and a chain program (one leaf or constant followed only by
+// fused ops, e.g. (N+S+W+E)*0.25) runs as ONE pass per chunk — so the hot
+// path of a warm sweep touches no IndexTuple, no shared_ptr walk, and no
 // std::function. eval_serial is retained as the per-element reference
 // oracle the differential tests compare against.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -47,6 +51,11 @@ struct SecLeaf {
 /// copies of the expression share it) and precomputes each leaf's flat
 /// segment decomposition; evaluation then runs tight strided loops over raw
 /// operand spans, one conforming chunk at a time.
+///
+/// Every kernel applies the expression's operations to each element in the
+/// tree's left-to-right order, one IEEE operation at a time (no
+/// reassociation, no contraction), so values are bit-identical to
+/// SecExpr::eval_serial whichever kernel runs.
 class SecProgram {
  public:
   /// One leaf operand of a kernel call: `count` values live at
@@ -57,6 +66,26 @@ class SecProgram {
     Extent stride = 0;
   };
 
+  /// The instruction set. Binary ops come in four operand forms: popped
+  /// from the stack, a fused leaf read in place (L), a folded constant (C),
+  /// and a folded constant on the left (the non-commutative R forms).
+  enum class OpCode : std::uint8_t {
+    kConst,   // push a splatted constant
+    kLeaf,    // push a strided operand load
+    kAdd, kSub, kMul, kDiv,      // pop b, pop a, push a∘b
+    kAddL, kSubL, kMulL, kDivL,  // top = top ∘ leaf (read in place)
+    kAddC, kSubC, kMulC, kDivC,  // top = top ∘ value (folded constant)
+    kRSubC, kRDivC,              // top = value ∘ top
+  };
+  struct Inst {
+    OpCode op = OpCode::kConst;
+    int leaf = -1;       // kLeaf and the fused leaf ops: index into leaves()
+    double value = 0.0;  // kConst and the folded-constant ops
+  };
+
+  /// The compiled program, in postfix order.
+  const std::vector<Inst>& code() const noexcept { return code_; }
+
   /// Leaves in evaluation order — identical content and order to
   /// SecExpr::leaves(), without re-collecting per statement.
   const std::vector<SecLeaf>& leaves() const noexcept { return leaves_; }
@@ -64,43 +93,67 @@ class SecProgram {
   /// Register-stack depth of the postfix program (slot 0 is the output).
   int depth() const noexcept { return depth_; }
 
-  /// The kernel: out[k] = expr(operands[l].ptr[k * operands[l].stride]) for
-  /// k in [0, count). `regs` must hold (depth() - 1) * count doubles.
+  /// True when the program is a chain — depth 1: a leaf or constant head
+  /// followed only by fused leaf and folded-constant ops, with at most
+  /// kMaxChainLeaves leaves and kMaxChainSteps instructions. A chain runs
+  /// as one pass per chunk whenever the chunk's operands are unit-stride or
+  /// broadcast; longer, deeper or strided work takes the stack machine.
+  bool is_chain() const noexcept { return chain_; }
+
+  static constexpr std::size_t kMaxChainLeaves = 8;
+  static constexpr std::size_t kMaxChainSteps = 16;
+
+  /// The stack machine: out[k] = expr(operands[l].ptr[k * operands[l].stride])
+  /// for k in [0, count). `regs` must hold (depth() - 1) * count doubles;
+  /// neither `out` nor `regs` may overlap an operand.
   void eval_segment(const Operand* operands, Extent count, double* out,
                     double* regs) const;
 
+  /// Checks every leaf against its array's canonical storage and the
+  /// statement size `total` (a leaf whose section holds a single element
+  /// broadcasts; any other size mismatch throws InternalError) and sizes
+  /// the arena's register file. The eval drivers call it first; assign
+  /// also calls it before pricing, so nothing after pricing can throw.
+  void prepare(const ProgramState& state, ScratchArena& arena,
+               Extent total) const;
+
   /// Whole-statement driver: evaluates all `total` conforming positions
   /// into out[0, total), reading canonical storage spans from `state` and
-  /// chunking the register file through `arena.regs`. Leaves whose section
-  /// holds a single element broadcast; any other size mismatch throws.
+  /// chunking the register file through `arena.regs`. `out` must not
+  /// overlap any leaf's storage.
   void eval(const ProgramState& state, ScratchArena& arena, Extent total,
             double* out) const;
+
+  /// Whole-statement driver into a strided destination: the k-th position
+  /// (in section order) lands at dst[s.base + j * s.stride] for the
+  /// segment s and offset j that position k falls in, i.e. `dst_segments`
+  /// are the destination section's flat segments (core/index_domain.hpp)
+  /// and the statement size is the sum of their counts. Unit-stride
+  /// segments are written in place; other strides are evaluated into a
+  /// chunk-sized register slot and scattered. The destination must not
+  /// overlap any leaf's storage, and every segment must lie inside `dst`'s
+  /// storage (the caller checks both).
+  void eval_into(const ProgramState& state, ScratchArena& arena,
+                 const std::vector<FlatSegment>& dst_segments,
+                 double* dst) const;
 
  private:
   friend class SecExpr;
 
-  enum class OpCode : std::uint8_t {
-    kConst,   // push a splatted constant
-    kLeaf,    // push a strided operand load
-    kAdd, kSub, kMul, kDiv,      // pop b, pop a, push a∘b
-    kAddC, kSubC, kMulC, kDivC,  // top = top ∘ value (folded constant)
-    kRSubC, kRDivC,              // top = value ∘ top
-  };
-  struct Inst {
-    OpCode op = OpCode::kConst;
-    int leaf = -1;       // kLeaf: index into leaves_/plans_
-    double value = 0.0;  // kConst and the folded-constant ops
-  };
   struct LeafPlan {
     std::vector<FlatSegment> segments;  // memoized decomposition, in order
     Extent size = 0;                    // section element count
     Extent bound = 0;                   // 1 + max linear position touched
   };
 
+  void run(const ProgramState& state, ScratchArena& arena, Extent total,
+           const FlatSegment* dst_segments, double* dst) const;
+
   std::vector<Inst> code_;
   std::vector<SecLeaf> leaves_;
   std::vector<LeafPlan> plans_;
   int depth_ = 0;
+  bool chain_ = false;
 };
 
 class SecExpr {
@@ -176,6 +229,7 @@ class SecExpr {
   static double eval_node(const Node& n, const ProgramState& state,
                           const IndexTuple& pos);
   static void compile_node(const Node& n, SecProgram& prog, int& stack);
+  static int add_leaf(const Node& n, SecProgram& prog);
 
   std::shared_ptr<const Node> node_;
 };

@@ -218,8 +218,18 @@ const double* ProgramState::values_span(ArrayId id) const {
   return store(id).values.data();
 }
 
+double* ProgramState::values_span(ArrayId id) {
+  return store(id).values.data();
+}
+
 Extent ProgramState::values_count(ArrayId id) const {
   return static_cast<Extent>(store(id).values.size());
+}
+
+void ProgramState::check_segments(
+    ArrayId id, const std::vector<FlatSegment>& segments) const {
+  const Store& s = store(id);
+  for (const FlatSegment& seg : segments) check_segment(s, seg);
 }
 
 void ProgramState::check_segment(const Store& s, const FlatSegment& seg) {
@@ -262,8 +272,9 @@ void ProgramState::fill(ArrayId id, const std::vector<Triplet>& section,
   s.domain.validate_section(section);
   const IndexDomain shape = s.domain.section_domain(section);
   // Stage in section order, then write whole flat segments — section order
-  // equals the segments' linear order (the assignment pass-3 invariant),
-  // and store_segment bounds-checks once per segment, not per element.
+  // equals the segments' linear order (the invariant assign's writeback
+  // relies on), and store_segment bounds-checks once per segment, not per
+  // element.
   std::vector<double>& staged = scratch_.staged;
   staged.resize(static_cast<std::size_t>(shape.size()));
   Extent at = 0;

@@ -34,14 +34,22 @@ namespace hpfnt {
 
 class PlanService;  // service/plan_service.hpp: the shared L2 plan cache
 
-/// Reusable scratch buffers for the evaluation engine: `staged` holds one
-/// statement's RHS snapshot (assign / copy_section), `regs` the register
-/// file of SecProgram's strided kernels. Owned by the ProgramState so a
-/// warm sweep allocates nothing after its first statement; capacity only
-/// grows. Statements do not nest, so one arena per state suffices.
+/// Reusable scratch buffers for the evaluation engine, owned by the
+/// ProgramState so a warm sweep allocates nothing after its first
+/// statement; capacity only grows. Statements do not nest, so one arena per
+/// state suffices.
+///   - `staged`: the whole-statement staging buffer. It holds an RHS
+///     snapshot only when Fortran semantics need one — an assign whose RHS
+///     reads the LHS array — and the source values of copy_section and
+///     fill; an assign that does not alias evaluates straight into the
+///     destination and never touches it (exec/assign.hpp).
+///   - `regs`: the register file of SecProgram's strided kernels, plus the
+///     chunk slot a non-unit-stride destination segment is scattered from.
+///   - `segments`: the current statement's destination flat segments.
 struct ScratchArena {
   std::vector<double> staged;
   std::vector<double> regs;
+  std::vector<FlatSegment> segments;
 };
 
 class ProgramState {
@@ -115,8 +123,18 @@ class ProgramState {
   /// store_segment below.
   const double* values_span(ArrayId id) const;
 
+  /// Writable canonical values, for the assignment's direct path, which
+  /// evaluates straight into the destination segments. The caller must
+  /// bounds-check those segments with check_segments first.
+  double* values_span(ArrayId id);
+
   /// Number of canonical values behind values_span (the domain's size).
   Extent values_count(ArrayId id) const;
+
+  /// Throws InternalError unless every segment lies inside the array's
+  /// canonical storage.
+  void check_segments(ArrayId id,
+                      const std::vector<FlatSegment>& segments) const;
 
   /// Writes `seg.count` values from `src` (contiguous) into the canonical
   /// storage positions seg.base, seg.base+seg.stride, ... Bounds-checked
@@ -132,7 +150,7 @@ class ProgramState {
   /// Initializes every element of a section from a function of its parent
   /// index. Values are staged in section order and written back through
   /// whole flat strided segments (core/index_domain.hpp) — one bounds check
-  /// per segment, not per element, like assignment pass 3.
+  /// per segment, not per element, like the staged assignment writeback.
   void fill(ArrayId id, const std::vector<Triplet>& section,
             const std::function<double(const IndexTuple&)>& fn);
 

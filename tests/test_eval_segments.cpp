@@ -9,7 +9,12 @@
 //    stat-for-stat (byte-identical StepStats) and value-for-value, over
 //    randomized triplet sections (ascending, strided, and descending),
 //    unit-dimension broadcast leaves, scalar constants, and
-//    nested-alignment operands.
+//    nested-alignment operands; and
+//  * both numerics paths of assign must hold: direct evaluation into the
+//    LHS (no RHS leaf names it; strided and descending LHS segments
+//    scatter) and the staged snapshot of self-aliasing statements, the
+//    one-pass chain kernel over every chain opcode, and the stack machine
+//    it falls back to (strided chunks, 9-leaf chains, deeper programs).
 //
 // These run under the ASan+UBSan CI job like the rest of the suite, so the
 // raw-span kernels and the scratch arena stay leak- and UB-clean.
@@ -180,28 +185,37 @@ struct TwinRig {
   }
 
   // Runs the same assignment through both engines and requires
-  // byte-identical statistics and storage.
-  void check_assign(const DistArray& lhs,
-                    const std::vector<Triplet>& lhs_section,
-                    const SecExpr& rhs) {
+  // byte-identical statistics and storage. Returns the segment engine's
+  // result; the element oracle always stages.
+  AssignResult check_assign(const DistArray& lhs,
+                            const std::vector<Triplet>& lhs_section,
+                            const SecExpr& rhs) {
     const AssignResult rs =
         assign(seg, env, lhs, lhs_section, rhs, "seg", EvalEngine::kSegment);
     const AssignResult re =
         assign(ele, env, lhs, lhs_section, rhs, "ele", EvalEngine::kElement);
+    auto same_bits = [](double x, double y) {
+      return std::memcmp(&x, &y, sizeof(double)) == 0;
+    };
     EXPECT_EQ(rs.step.messages, re.step.messages);
     EXPECT_EQ(rs.step.bytes, re.step.bytes);
     EXPECT_EQ(rs.step.element_transfers, re.step.element_transfers);
     EXPECT_EQ(rs.step.flops, re.step.flops);
-    EXPECT_EQ(std::memcmp(&rs.step.time_us, &re.step.time_us,
-                          sizeof(double)),
-              0);
+    EXPECT_TRUE(same_bits(rs.step.time_us, re.step.time_us));
+    EXPECT_TRUE(same_bits(rs.step.exposed_comm_us, re.step.exposed_comm_us));
+    EXPECT_TRUE(same_bits(rs.step.hidden_comm_us, re.step.hidden_comm_us));
+    EXPECT_EQ(rs.step.retries, re.step.retries);
+    EXPECT_TRUE(same_bits(rs.step.retry_us, re.step.retry_us));
     EXPECT_EQ(rs.elements, re.elements);
     EXPECT_EQ(rs.local_reads, re.local_reads);
+    EXPECT_EQ(rs.posted_leaves, re.posted_leaves);
+    EXPECT_EQ(re.staged_elements, re.elements);
     EXPECT_EQ(std::memcmp(seg.values_span(lhs.id()), ele.values_span(lhs.id()),
                           sizeof(double) * static_cast<std::size_t>(
                                                seg.values_count(lhs.id()))),
               0)
         << "stored values diverged for " << lhs.name();
+    return rs;
   }
 
   Machine machine;
@@ -227,7 +241,12 @@ TEST(SecProgramDifferential, StencilOverBlockSections) {
                  SecExpr::section(a, {inner, Triplet(1, n - 2)}) +
                  SecExpr::section(a, {inner, Triplet(3, n)})) *
                 0.25;
-  rig.check_assign(b, {inner, inner}, rhs);
+  // B never appears on the right: evaluated straight into B, one pass per
+  // column chunk.
+  EXPECT_TRUE(rhs.program().is_chain());
+  const AssignResult r = rig.check_assign(b, {inner, inner}, rhs);
+  EXPECT_EQ(r.elements, (n - 2) * (n - 2));
+  EXPECT_EQ(r.staged_elements, 0);
 }
 
 TEST(SecProgramDifferential, UnitDimensionLeavesBroadcastAndSplat) {
@@ -350,6 +369,261 @@ TEST(SecProgramDifferential, ProgramEvalMatchesEvalSerialDirectly) {
     EXPECT_EQ(out[static_cast<std::size_t>(k)],
               expr.eval_serial(rig.seg, pos))
         << "position " << k;
+  }
+}
+
+// --- Direct evaluation, staging, and the one-pass chain kernel ---------------
+
+// 1-D arrays on 12 processors, sized to span several evaluation chunks
+// (2048 elements) and to leave ragged tails after the chain kernel's
+// register tiles.
+constexpr Extent kLong = 4100;
+
+DistArray& line(TwinRig& rig, const std::string& name, DistFormat format,
+                std::uint64_t seed, Extent n = kLong) {
+  DistArray& x = rig.env.real(name, IndexDomain{Dim(1, n)});
+  rig.env.distribute(x, {format}, ProcessorRef(rig.ps.find("P")));
+  rig.create_both(x, seed);
+  return x;
+}
+
+SecExpr sec(const DistArray& x, Index1 lo, Index1 hi, Index1 stride = 1) {
+  return SecExpr::section(x, {Triplet(lo, hi, stride)});
+}
+
+TEST(AssignStaging, OnlyStatementsThatReadTheirLhsStage) {
+  TwinRig rig;
+  DistArray& a = line(rig, "A", DistFormat::block(), 30, 64);
+  DistArray& b = line(rig, "B", DistFormat::block(), 31, 64);
+  const SecExpr shift = sec(a, 1, 62) + sec(a, 3, 64);
+  const AssignResult direct = rig.check_assign(b, {Triplet(2, 63)}, shift);
+  EXPECT_EQ(direct.elements, 62);
+  EXPECT_EQ(direct.staged_elements, 0);
+  const AssignResult staged = rig.check_assign(a, {Triplet(2, 63)}, shift);
+  EXPECT_EQ(staged.staged_elements, 62);
+  // A constant right-hand side reads nothing, so it never stages.
+  const AssignResult fill =
+      rig.check_assign(a, {Triplet(1, 64, 3)}, SecExpr::constant(2.5));
+  EXPECT_TRUE(SecExpr::constant(2.5).program().is_chain());
+  EXPECT_EQ(fill.staged_elements, 0);
+}
+
+TEST(AssignStaging, SelfAliasingShiftsStageInBothDirections) {
+  TwinRig rig;
+  DistArray& fa = line(rig, "FA", DistFormat::block(), 32);
+  const Extent n = kLong;
+  // FA(2:n) = FA(1:n-1)...: every element must read its left neighbour's
+  // OLD value; evaluating in place would smear FA(1) across the array.
+  const AssignResult up = rig.check_assign(
+      fa, {Triplet(2, n)}, sec(fa, 1, n - 1) * 0.5 + 1.0);
+  EXPECT_EQ(up.staged_elements, n - 1);
+  const AssignResult down = rig.check_assign(
+      fa, {Triplet(1, n - 1)}, sec(fa, 2, n) - sec(fa, 1, n - 1));
+  EXPECT_EQ(down.staged_elements, n - 1);
+  // A descending self-shift reads ahead of its writes the other way round.
+  const AssignResult back = rig.check_assign(
+      fa, {Triplet(n, 2, -1)}, sec(fa, n - 1, 1, -1) + sec(fa, 2, n));
+  EXPECT_EQ(back.staged_elements, n - 1);
+}
+
+TEST(AssignStaging, IdenticalSectionSelfUpdateStages) {
+  TwinRig rig;
+  DistArray& a = line(rig, "A", DistFormat::cyclic(3), 33);
+  const Extent n = kLong;
+  // A(1:n:2) = A(1:n:2)/2 + c: reads and writes the same elements.
+  const AssignResult r = rig.check_assign(
+      a, {Triplet(1, n, 2)},
+      sec(a, 1, n, 2) / SecExpr::constant(2.0) + 0.75);
+  EXPECT_EQ(r.staged_elements, r.elements);
+}
+
+TEST(AssignStaging, StridedAndDescendingLhsEvaluateDirectly) {
+  TwinRig rig;
+  DistArray& a = line(rig, "A", DistFormat::block(), 34);
+  DistArray& b = line(rig, "B", DistFormat::cyclic(5), 35);
+  const Extent n = kLong;
+  // Unit-stride operands, non-unit LHS: the chain kernel fills the
+  // register slot that is scattered into B.
+  const Extent m = (n + 2) / 3;
+  EXPECT_EQ(rig.check_assign(b, {Triplet(1, n, 3)},
+                             sec(a, 1, m) * 2.0 + sec(a, 2, m + 1))
+                .staged_elements,
+            0);
+  EXPECT_EQ(rig.check_assign(b, {Triplet(n, 1, -1)}, sec(a, 1, n) + 1.0)
+                .staged_elements,
+            0);
+  const Extent h = (n - 2) / 2;
+  EXPECT_EQ(rig.check_assign(b, {Triplet(n - 1, n - 1 - 2 * (h - 1), -2)},
+                             sec(a, 2, h + 1) - sec(a, h, 1, -1))
+                .staged_elements,
+            0);
+  // 2-D: a descending column range over strided rows.
+  TwinRig rig2;
+  DistArray& x = rig2.env.real("X", IndexDomain{Dim(1, 30), Dim(1, 20)});
+  DistArray& y = rig2.env.real("Y", IndexDomain{Dim(1, 30), Dim(1, 20)});
+  rig2.ps.declare("G", IndexDomain::of_extents({3, 4}));
+  const ProcessorRef grid(rig2.ps.find("G"));
+  rig2.env.distribute(x, {DistFormat::block(), DistFormat::cyclic(2)}, grid);
+  rig2.env.distribute(y, {DistFormat::cyclic(1), DistFormat::block()}, grid);
+  rig2.create_both(x, 36);
+  rig2.create_both(y, 37);
+  EXPECT_EQ(rig2.check_assign(
+                    y, {Triplet(2, 29, 3), Triplet(18, 3, -1)},
+                    SecExpr::section(x, {Triplet(1, 10), Triplet(1, 16)}) *
+                        SecExpr::section(x, {Triplet(11, 20), Triplet(5, 20)}))
+                .staged_elements,
+            0);
+}
+
+TEST(SecProgramDifferential, ChunksMixUnitStridedAndBroadcastLeaves) {
+  TwinRig rig;
+  const Extent rows = 2600;
+  DistArray& x = rig.env.real("X", IndexDomain{Dim(1, rows), Dim(1, 4)});
+  DistArray& y = rig.env.real("Y", IndexDomain{Dim(1, 4), Dim(1, rows)});
+  DistArray& z = line(rig, "Z", DistFormat::block(), 40, rows);
+  DistArray& w = line(rig, "W", DistFormat::cyclic(6), 43, rows);
+  const ProcessorRef procs(rig.ps.find("P"));
+  rig.env.distribute(x, {DistFormat::block(), DistFormat::collapsed()}, procs);
+  rig.env.distribute(y, {DistFormat::collapsed(), DistFormat::cyclic(7)},
+                     procs);
+  rig.create_both(x, 41);
+  rig.create_both(y, 42);
+  const SecExpr column = SecExpr::section(x, {Triplet(1, rows),
+                                              Triplet::single(3)});  // unit
+  const SecExpr row = SecExpr::section(y, {Triplet::single(2),
+                                           Triplet(1, rows)});  // stride 4
+  const SecExpr one = SecExpr::section(x, {Triplet::single(9),
+                                           Triplet::single(2)});  // splat
+  // Unit-stride leaves only: one pass per chunk.
+  const SecExpr unit = (column - sec(z, 1, rows)) * 0.25;
+  ASSERT_TRUE(unit.program().is_chain());
+  EXPECT_EQ(rig.check_assign(w, {Triplet(1, rows)}, unit).staged_elements,
+            0);
+  // Unit-stride, strided and descending leaves in every chunk: the stack
+  // machine.
+  const SecExpr mixed = (column + row) * 2.0 - sec(z, rows, 1, -1);
+  ASSERT_TRUE(mixed.program().is_chain());
+  EXPECT_EQ(rig.check_assign(w, {Triplet(1, rows)}, mixed).staged_elements,
+            0);
+  EXPECT_EQ(rig.check_assign(z, {Triplet(1, rows)}, mixed).staged_elements,
+            rows);  // reads Z
+  // A single-element leaf conforms only with other single-element leaves
+  // (squeezed shape []), so broadcast chunks are all-splat: a splat head
+  // and splat steps over a long strided LHS.
+  const SecExpr splat =
+      (one + SecExpr::section(y, {Triplet::single(4), Triplet(9, 9)})) / one;
+  ASSERT_TRUE(splat.program().is_chain());
+  rig.check_assign(w, {Triplet(rows, 1, -3)}, splat);
+  rig.check_assign(w, {Triplet(2, rows)}, splat);
+  // A single-element statement: no leaf broadcasts, every chunk is 1 long.
+  const SecExpr pair =
+      SecExpr::section(y, {Triplet::single(3), Triplet(9, 9)}) +
+      SecExpr::section(x, {Triplet(5, 5), Triplet::single(1)});
+  rig.check_assign(w, {Triplet(7, 7)}, pair * one);
+}
+
+TEST(SecProgramDifferential, EveryChainOpcodeMatchesTheOracle) {
+  TwinRig rig;
+  DistArray& a = line(rig, "A", DistFormat::block(), 50);
+  DistArray& b = line(rig, "B", DistFormat::cyclic(4), 51);
+  DistArray& c = line(rig, "C", DistFormat::cyclic(1), 52);
+  DistArray& out = line(rig, "OUT", DistFormat::block(), 53);
+  const Extent n = kLong;
+  const Extent m = n - 3;
+  // Every fused leaf op, every folded constant op, and both constant-left
+  // forms, interleaved: leaves A, B, C, A, B with shifts so no two
+  // operands coincide.
+  const SecExpr chain =
+      SecExpr::constant(7.0) /
+      (SecExpr::constant(2.0) -
+       (((((sec(a, 1, m) + sec(b, 2, m + 1)) - sec(c, 3, m + 2)) + 1.5) *
+             sec(a, 4, m + 3) -
+         SecExpr::constant(0.25)) /
+            sec(b, 3, m + 2) * 3.0 / SecExpr::constant(0.5)));
+  using Op = SecProgram::OpCode;
+  const SecProgram& prog = chain.program();
+  ASSERT_TRUE(prog.is_chain());
+  std::vector<Op> ops;
+  for (const SecProgram::Inst& inst : prog.code()) ops.push_back(inst.op);
+  EXPECT_EQ(ops, (std::vector<Op>{Op::kLeaf, Op::kAddL, Op::kSubL, Op::kAddC,
+                                  Op::kMulL, Op::kSubC, Op::kDivL, Op::kMulC,
+                                  Op::kDivC, Op::kRSubC, Op::kRDivC}));
+  EXPECT_EQ(rig.check_assign(out, {Triplet(2, m + 1)}, chain).staged_elements,
+            0);
+  // c - leaf and c / leaf fold onto a leaf head directly.
+  const SecExpr reversed =
+      SecExpr::constant(1.0) / (SecExpr::constant(3.0) - sec(c, 1, n));
+  ASSERT_TRUE(reversed.program().is_chain());
+  rig.check_assign(out, {Triplet(1, n)}, reversed);
+}
+
+TEST(SecProgramDifferential, NineLeafChainFallsBackToTheStackMachine) {
+  TwinRig rig;
+  DistArray& a = line(rig, "A", DistFormat::block(), 60);
+  DistArray& out = line(rig, "OUT", DistFormat::cyclic(2), 61);
+  const Extent m = kLong - 8;
+  auto sum_of = [&](int leaves) {
+    SecExpr e = sec(a, 1, m);
+    for (int l = 1; l < leaves; ++l) {
+      e = l % 3 == 2 ? e * sec(a, l + 1, m + l) : e + sec(a, l + 1, m + l);
+    }
+    return e * 0.5;
+  };
+  const SecExpr eight = sum_of(8);
+  const SecExpr nine = sum_of(9);
+  EXPECT_TRUE(eight.program().is_chain());
+  EXPECT_EQ(nine.program().depth(), 1);
+  EXPECT_FALSE(nine.program().is_chain());
+  rig.check_assign(out, {Triplet(1, m)}, eight);
+  rig.check_assign(out, {Triplet(1, m)}, nine);
+}
+
+TEST(SecProgramDifferential, RandomProgramsOnBothPathsMatchTheOracle) {
+  TwinRig rig;
+  const Extent n = 700;
+  DistArray* arrays[3] = {&line(rig, "X", DistFormat::block(), 70, n),
+                          &line(rig, "Y", DistFormat::cyclic(3), 71, n),
+                          &line(rig, "Z", DistFormat::cyclic(1), 72, n)};
+  Rng rng(73);
+  for (int trial = 0; trial < 80; ++trial) {
+    // A random shape placed at random strides and directions.
+    const Extent len = rng.uniform(1, 300);
+    auto place = [&]() {
+      const Index1 stride = rng.uniform(1, 2);
+      const Index1 lo = rng.uniform(1, n - (len - 1) * stride);
+      const Index1 hi = lo + (len - 1) * stride;
+      return rng.uniform(0, 3) == 0 ? Triplet(hi, lo, -stride)
+                                    : Triplet(lo, hi, stride);
+    };
+    auto leaf = [&]() {
+      return SecExpr::section(*arrays[rng.uniform(0, 2)], {place()});
+    };
+    auto combine = [&](SecExpr x, SecExpr y) {
+      switch (rng.uniform(0, 3)) {
+        case 0: return std::move(x) + std::move(y);
+        case 1: return std::move(x) - std::move(y);
+        case 2: return std::move(x) * std::move(y);
+        default: return std::move(x) / std::move(y);
+      }
+    };
+    // Mostly chains (a fused op per step, constants on either side);
+    // sometimes a parenthesized sub-expression makes the program deeper.
+    const int leaves = static_cast<int>(rng.uniform(1, 10));
+    SecExpr e = leaf();
+    for (int l = 1; l < leaves; ++l) {
+      SecExpr rhs = rng.uniform(0, 5) == 0 ? combine(leaf(), leaf()) : leaf();
+      e = combine(std::move(e), std::move(rhs));
+      if (rng.uniform(0, 2) == 0) {
+        const SecExpr k = SecExpr::constant(rng.uniform(1, 9) * 0.375);
+        e = rng.uniform(0, 1) == 0 ? combine(std::move(e), k)
+                                   : combine(k, std::move(e));
+      }
+    }
+    DistArray& lhs = *arrays[rng.uniform(0, 2)];
+    bool aliases = false;
+    for (const SecLeaf& l : e.leaves()) aliases = aliases || l.array == lhs.id();
+    const AssignResult r = rig.check_assign(lhs, {place()}, e);
+    EXPECT_EQ(r.staged_elements, aliases ? len : 0) << "trial " << trial;
   }
 }
 

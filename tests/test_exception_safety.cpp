@@ -3,8 +3,9 @@
 // The fault model's exhaustion path (TransferFaultError out of end_step)
 // is the sharpest probe we have: it fires after the whole statement's
 // traffic is recorded, at the last moment before commit. These tests pin
-// the strong guarantee for all three priced statement kinds — assign,
-// copy_section, apply_remap (cold AND warm/replay paths) — by comparing
+// the strong guarantee for all three priced statement kinds — assign
+// (staged and direct numerics), copy_section, apply_remap (cold AND
+// warm/replay paths) — by comparing
 // every observable against a pre-failure snapshot: canonical values,
 // layouts, per-processor memory gauges (current and peak), and the comm
 // engine's cumulative totals. And because robustness means recoverable,
@@ -17,6 +18,7 @@
 
 #include "core/layout_view.hpp"
 #include "directives/interp.hpp"
+#include "exec/assign.hpp"
 #include "exec/storage.hpp"
 #include "fault/fault_model.hpp"
 #include "support/error.hpp"
@@ -107,6 +109,63 @@ TEST(ExceptionSafety, AssignFailureLeavesEverythingUntouchedAndIsRetryable) {
   s.interp.run("B(2:63) = A(1:62) + A(3:64)\n");
   EXPECT_EQ(s.state.checksum(s.id("B")), 62.0 * 2.0 + 2.0 * 9.0);
   EXPECT_EQ(s.state.comm().total_retries(), 0);
+}
+
+TEST(ExceptionSafety, DirectPathStencilFailureLeavesEverythingUntouched) {
+  // A 2-D Jacobi-style update between two distinct arrays evaluates
+  // straight into B (no staging buffer) with its halos posted. Pricing
+  // runs before the first write to B, so exhausting the retries must still
+  // leave B exactly as it was.
+  Session s;
+  s.interp.run(
+      "!HPF$ PROCESSORS Q(2,4)\n"
+      "REAL A(16,16), B(16,16)\n"
+      "!HPF$ DISTRIBUTE A(BLOCK,BLOCK) TO Q\n"
+      "!HPF$ DISTRIBUTE B(BLOCK,BLOCK) TO Q\n"
+      "!HPF$ SHADOW A(1:1,1:1)\n"
+      "!HPF$ SHADOW B(1:1,1:1)\n");
+  // A linear field: the 5-point average reproduces it exactly.
+  s.state.fill(s.id("A"), [](const IndexTuple& i) {
+    return static_cast<double>(16 * i[0] + i[1]);
+  });
+  s.state.fill(s.id("B"), [](const IndexTuple&) { return -1.0; });
+  const DistArray& a = s.interp.env().find("A");
+  const DistArray& b = s.interp.env().find("B");
+  const Triplet inner(2, 15);
+  const SecExpr rhs = (SecExpr::section(a, {Triplet(1, 14), inner}) +
+                       SecExpr::section(a, {Triplet(3, 16), inner}) +
+                       SecExpr::section(a, {inner, Triplet(1, 14)}) +
+                       SecExpr::section(a, {inner, Triplet(3, 16)})) *
+                      0.25;
+  const Snapshot before(s, {"A", "B"});
+
+  s.interp.run(kAlwaysFault);
+  EXPECT_THROW(assign(s.state, s.interp.env(), b, {inner, inner}, rhs),
+               TransferFaultError);
+  expect_unchanged(s, {"A", "B"}, before);
+
+  s.interp.run(kNoFaults);
+  const AssignResult r =
+      assign(s.state, s.interp.env(), b, {inner, inner}, rhs);
+  EXPECT_EQ(r.staged_elements, 0);
+  EXPECT_EQ(r.posted_leaves, std::vector<char>(4, 1));
+  EXPECT_GT(r.step.messages, 0);
+  EXPECT_EQ(r.step.retries, 0);
+  double interior = 0.0;
+  for (Index1 i = 2; i <= 15; ++i) {
+    for (Index1 j = 2; j <= 15; ++j) interior += 16.0 * i + j;
+  }
+  EXPECT_EQ(s.state.checksum(s.id("B")), interior - (256.0 - 14.0 * 14.0));
+  EXPECT_EQ(s.state.checksum(s.id("A")), before.checksums[0]);
+
+  // The warm path: the plan now replays, and the replay's exhaustion must
+  // also come before the first write (B reset so a write would show).
+  s.state.fill(s.id("B"), [](const IndexTuple&) { return -1.0; });
+  const Snapshot warm(s, {"A", "B"});
+  s.interp.run(kAlwaysFault);
+  EXPECT_THROW(assign(s.state, s.interp.env(), b, {inner, inner}, rhs),
+               TransferFaultError);
+  expect_unchanged(s, {"A", "B"}, warm);
 }
 
 TEST(ExceptionSafety, RemapColdPathFailureRollsBackAndIsRetryable) {
